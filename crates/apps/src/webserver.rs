@@ -227,8 +227,16 @@ mod tests {
             authority: "test".into(),
         };
         let mut srng = DetRng::new(b"mount-server");
-        docs.mac_store()
-            .establish(&body, grant, proof, Time(0), &mut |b| srng.fill(b))
+        let store = docs.mac_store();
+        store
+            .establish_at_epoch(
+                &body,
+                grant,
+                proof,
+                Time(0),
+                &mut |b| srng.fill(b),
+                store.invalidation_epoch(),
+            )
             .unwrap();
         assert_eq!(wiki.mac_store().len(), 1);
         assert_eq!(wiki.mac_store().evict_expired(Time(500)), 1);

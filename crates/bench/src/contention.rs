@@ -149,8 +149,9 @@ pub fn mac_contention_rig(sessions: usize) -> MacContentionRig {
                 stmt: proven.clone(),
                 authority: "bench".into(),
             };
+            let epoch = store.invalidation_epoch();
             let reply = store
-                .establish(&body, proven, proof, Time(0), &mut srng)
+                .establish_at_epoch(&body, proven, proof, Time(0), &mut srng, epoch)
                 .expect("establishment");
             let session = ClientMacSession::from_grant(&reply, &dh, Validity::always())
                 .expect("grant");

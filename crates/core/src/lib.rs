@@ -64,6 +64,7 @@ pub mod durable;
 mod memo;
 mod principal;
 mod proof;
+mod revocable;
 mod revocation;
 pub mod sequence;
 pub mod sync;
@@ -73,9 +74,10 @@ mod verify;
 pub use audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot, NullEmitter};
 pub use cert::Certificate;
 pub use durable::{CrashPoint, Durable, RecoveryReport};
-pub use memo::{ChainMemo, MemoStats};
+pub use memo::ChainMemo;
 pub use principal::{ChannelId, Principal};
 pub use proof::{Proof, ProofError};
+pub use revocable::{CacheStats, RevocableMap, RevocationBus};
 pub use revocation::{Crl, Revalidation, RevocationPolicy};
 pub use sequence::Sequence;
 pub use statement::{Delegation, Time, Validity};

@@ -29,20 +29,16 @@
 //!    time-dependent checks are artifact-currency windows), so a hit
 //!    inside the interval answers exactly what a cold verify would.
 //!
-//! Revocation *push* is the asynchronous hazard: [`ChainMemo::evict_cert`]
-//! drops every entry whose provenance contains the dead certificate (the
-//! memo rides the same `RevocationBus` as every other warm cache), and a
-//! monotone push epoch ([`ChainMemo::push_epoch`]) lets `verify_cached`
-//! discard an insert that raced a push — the same guard discipline the
-//! servlet and RMI proof caches use.
+//! Revocation *push* is the asynchronous hazard.  The memo is a keyed
+//! wrapper over [`RevocableMap`]: [`ChainMemo::evict_cert`] (its
+//! [`RevocationBus`] arm) drops every entry whose provenance names the dead
+//! certificate, and [`ChainMemo::record`] discards an insert verified
+//! before a push.
 
+use crate::revocable::{CacheStats, RevocableMap, RevocationBus};
 use crate::statement::Time;
 use snowflake_crypto::HashVal;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-const SHARDS: usize = 16;
+use std::sync::Arc;
 
 /// Memo key: the proof's canonical hash plus the context fingerprint it
 /// was verified under.
@@ -52,106 +48,42 @@ struct MemoKey {
     fingerprint: HashVal,
 }
 
-struct MemoEntry {
-    verified_at: Time,
-    /// Conservative minimum of consulted artifact validity ends; `None`
-    /// when every consulted artifact (and the chain) is open-ended.
-    valid_until: Option<Time>,
-    /// Revocation provenance (`Proof::cert_hashes`) for push eviction.
-    certs: Vec<HashVal>,
+impl MemoKey {
+    fn new(proof: &HashVal, fingerprint: &HashVal) -> MemoKey {
+        let (proof, fingerprint) = (proof.clone(), fingerprint.clone());
+        MemoKey { proof, fingerprint }
+    }
 }
 
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<MemoKey, MemoEntry>,
-    /// Insertion order for FIFO eviction; may contain keys already
-    /// removed by push eviction (skipped when popped).
-    order: VecDeque<MemoKey>,
-}
-
-/// Counter snapshot — the memo's answer quality is provable from these
-/// (a warm re-presented chain shows up as `hits` with no exponentiation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemoStats {
-    /// Lookups answered from the memo (big-int work skipped).
-    pub hits: u64,
-    /// Lookups that fell through to a cold verification.
-    pub misses: u64,
-    /// Successful verifications recorded.
-    pub inserts: u64,
-    /// Entries dropped by capacity (FIFO) or expiry.
-    pub evictions: u64,
-    /// Entries dropped because a certificate in their provenance was
-    /// revoked (push eviction).
-    pub revocation_evictions: u64,
-    /// Entries currently resident.
-    pub entries: u64,
-}
-
-/// A bounded, sharded memo of successfully verified proof chains.
+/// A bounded, sharded memo of successfully verified proof chains; each
+/// entry's value is the time it was verified at.
 pub struct ChainMemo {
-    shards: Vec<Mutex<Shard>>,
-    per_shard_cap: usize,
-    push_epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-    revocation_evictions: AtomicU64,
+    map: RevocableMap<MemoKey, Time>,
 }
 
 impl ChainMemo {
     /// A memo bounded to roughly `capacity` entries across 16 shards.
     pub fn new(capacity: usize) -> ChainMemo {
         ChainMemo {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_cap: capacity.div_ceil(SHARDS).max(1),
-            push_epoch: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            revocation_evictions: AtomicU64::new(0),
+            map: RevocableMap::with_capacity(capacity),
         }
-    }
-
-    fn shard(&self, key: &MemoKey) -> &Mutex<Shard> {
-        let b = key.proof.bytes.first().copied().unwrap_or(0) as usize;
-        &self.shards[b % self.shards.len()]
     }
 
     /// Is a successful verification of `proof` under `fingerprint`
     /// recorded and valid at `now`?  An entry outside its validity
     /// interval is dropped (counted as an eviction) and misses.
     pub fn lookup(&self, proof: &HashVal, fingerprint: &HashVal, now: Time) -> bool {
-        let key = MemoKey {
-            proof: proof.clone(),
-            fingerprint: fingerprint.clone(),
-        };
-        let mut shard = self.shard(&key).lock().unwrap();
-        let live = match shard.entries.get(&key) {
-            Some(en) => {
-                now >= en.verified_at && en.valid_until.map_or(true, |until| now <= until)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-        };
-        if live {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shard.entries.remove(&key);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        live
+        self.map
+            .get(&MemoKey::new(proof, fingerprint), now, |verified_at, _| {
+                (now >= *verified_at).then_some(())
+            })
+            .is_some()
     }
 
     /// Records a successful verification.
     ///
-    /// `push_epoch_at_verify` must be the [`ChainMemo::push_epoch`] value
-    /// read *before* the verification ran; if a revocation push landed in
+    /// `epoch_at_verify` must be the [`ChainMemo::epoch`] value read
+    /// *before* the verification ran; if a revocation push landed in
     /// between, the record is discarded — the push could not have evicted
     /// an entry that was not yet inserted.
     pub fn record(
@@ -161,91 +93,43 @@ impl ChainMemo {
         verified_at: Time,
         valid_until: Option<Time>,
         certs: Vec<HashVal>,
-        push_epoch_at_verify: u64,
+        epoch_at_verify: u64,
     ) {
-        let key = MemoKey {
-            proof: proof.clone(),
-            fingerprint: fingerprint.clone(),
-        };
-        let mut shard = self.shard(&key).lock().unwrap();
-        // Checked *under* the shard lock.  [`ChainMemo::evict_cert`] bumps
-        // the epoch before locking any shard, so holding the lock leaves
-        // exactly two orderings: the eviction's scan of this shard already
-        // ran (then its prior bump is visible here and the stale insert is
-        // discarded), or it has not run yet (then it will see — and judge —
-        // whatever we insert).  A pre-lock check would leave a third:
-        // check passes, the full eviction runs, *then* the stale insert
-        // lands and serves pre-revocation hits until expiry.
-        if self.push_epoch.load(Ordering::SeqCst) != push_epoch_at_verify {
-            return;
-        }
-        while shard.entries.len() >= self.per_shard_cap {
-            match shard.order.pop_front() {
-                Some(old) => {
-                    if shard.entries.remove(&old).is_some() {
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                None => break,
-            }
-        }
-        if shard
-            .entries
-            .insert(
-                key.clone(),
-                MemoEntry {
-                    verified_at,
-                    valid_until,
-                    certs,
-                },
-            )
-            .is_none()
-        {
-            shard.order.push_back(key);
-        }
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.map.insert(
+            MemoKey::new(proof, fingerprint),
+            verified_at,
+            certs.into(),
+            valid_until,
+            verified_at,
+            epoch_at_verify,
+        );
     }
 
     /// Drops every entry whose provenance contains `cert_hash`; returns
-    /// how many died.  Bumps the push epoch first so a verification
+    /// how many died.  Bumps the epoch first so a verification
     /// concurrently in flight cannot re-insert a pre-revocation answer.
     pub fn evict_cert(&self, cert_hash: &HashVal) -> usize {
-        self.push_epoch.fetch_add(1, Ordering::SeqCst);
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap();
-            let before = shard.entries.len();
-            shard.entries.retain(|_, en| !en.certs.contains(cert_hash));
-            dropped += before - shard.entries.len();
-        }
-        self.revocation_evictions
-            .fetch_add(dropped as u64, Ordering::Relaxed);
-        dropped
+        self.map.evict_cert(cert_hash)
     }
 
-    /// The monotone revocation-push epoch (see [`ChainMemo::record`]).
-    pub fn push_epoch(&self) -> u64 {
-        self.push_epoch.load(Ordering::SeqCst)
+    /// The revocation-push epoch (see [`ChainMemo::record`]).
+    pub fn epoch(&self) -> u64 {
+        self.map.epoch()
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            revocation_evictions: self.revocation_evictions.load(Ordering::Relaxed),
-            entries: self.len() as u64,
-        }
+    /// Counter snapshot — the memo's answer quality is provable from these
+    /// (a warm re-presented chain shows up as `hits` with no
+    /// exponentiation).
+    pub fn stats(&self) -> CacheStats {
+        self.map.stats()
     }
 
-    /// Registers scrape-time callbacks exposing [`MemoStats`] under
+    /// Registers scrape-time callbacks exposing [`CacheStats`] under
     /// `sf_chain_memo_*{surface="..."}` — the same atomics
     /// [`stats`](Self::stats) reads.  One collector per surface label;
     /// re-registering a surface replaces its callback.
     pub fn register_metrics(
-        self: &std::sync::Arc<Self>,
+        self: &Arc<Self>,
         registry: &snowflake_metrics::Registry,
         surface: &str,
     ) {
@@ -254,39 +138,58 @@ impl ChainMemo {
             "sf_chain_memo_hits_total",
             "Verified-chain memo lookups answered without big-int work",
         );
-        let memo = std::sync::Arc::downgrade(self);
+        let memo = Arc::downgrade(self);
         let surface = surface.to_string();
         registry.register_collector(
             &format!("memo:{surface}"),
-            std::sync::Arc::new(move |out: &mut Vec<Sample>| {
+            Arc::new(move |out: &mut Vec<Sample>| {
                 let Some(memo) = memo.upgrade() else { return };
                 let s = memo.stats();
                 let labels: &[(&str, &str)] = &[("surface", &surface)];
                 out.push(Sample::counter("sf_chain_memo_hits_total", labels, s.hits));
-                out.push(Sample::counter("sf_chain_memo_misses_total", labels, s.misses));
-                out.push(Sample::counter("sf_chain_memo_inserts_total", labels, s.inserts));
-                out.push(Sample::counter("sf_chain_memo_evictions_total", labels, s.evictions));
+                out.push(Sample::counter(
+                    "sf_chain_memo_misses_total",
+                    labels,
+                    s.misses,
+                ));
+                out.push(Sample::counter(
+                    "sf_chain_memo_inserts_total",
+                    labels,
+                    s.inserts,
+                ));
+                out.push(Sample::counter(
+                    "sf_chain_memo_evictions_total",
+                    labels,
+                    s.evictions,
+                ));
                 out.push(Sample::counter(
                     "sf_chain_memo_revocation_evictions_total",
                     labels,
                     s.revocation_evictions,
                 ));
-                out.push(Sample::gauge("sf_chain_memo_entries", labels, s.entries as f64));
+                out.push(Sample::gauge(
+                    "sf_chain_memo_entries",
+                    labels,
+                    s.entries as f64,
+                ));
             }),
         );
     }
 
     /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().entries.len())
-            .sum()
+        self.map.len()
     }
 
     /// `true` when no entries are resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.map.is_empty()
+    }
+}
+
+impl RevocationBus for ChainMemo {
+    fn certificate_revoked(&self, cert_hash: &HashVal) -> usize {
+        self.evict_cert(cert_hash)
     }
 }
 
@@ -301,8 +204,15 @@ mod tests {
     #[test]
     fn hit_requires_same_key_and_interval() {
         let memo = ChainMemo::new(64);
-        let epoch = memo.push_epoch();
-        memo.record(&h("p"), &h("fp"), Time(10), Some(Time(100)), vec![h("c")], epoch);
+        let epoch = memo.epoch();
+        memo.record(
+            &h("p"),
+            &h("fp"),
+            Time(10),
+            Some(Time(100)),
+            vec![h("c")],
+            epoch,
+        );
         assert!(memo.lookup(&h("p"), &h("fp"), Time(50)));
         assert!(!memo.lookup(&h("p"), &h("other-fp"), Time(50)));
         assert!(!memo.lookup(&h("other-p"), &h("fp"), Time(50)));
@@ -314,7 +224,7 @@ mod tests {
     #[test]
     fn expiry_drops_the_entry() {
         let memo = ChainMemo::new(64);
-        let epoch = memo.push_epoch();
+        let epoch = memo.epoch();
         memo.record(&h("p"), &h("fp"), Time(10), Some(Time(100)), vec![], epoch);
         assert!(!memo.lookup(&h("p"), &h("fp"), Time(200)));
         assert_eq!(memo.len(), 0, "expired entry is evicted, not retained");
@@ -324,8 +234,15 @@ mod tests {
     #[test]
     fn push_eviction_by_cert_hash() {
         let memo = ChainMemo::new(64);
-        let epoch = memo.push_epoch();
-        memo.record(&h("p1"), &h("fp"), Time(1), None, vec![h("a"), h("b")], epoch);
+        let epoch = memo.epoch();
+        memo.record(
+            &h("p1"),
+            &h("fp"),
+            Time(1),
+            None,
+            vec![h("a"), h("b")],
+            epoch,
+        );
         memo.record(&h("p2"), &h("fp"), Time(1), None, vec![h("c")], epoch);
         assert_eq!(memo.evict_cert(&h("b")), 1);
         assert!(!memo.lookup(&h("p1"), &h("fp"), Time(2)));
@@ -336,16 +253,19 @@ mod tests {
     #[test]
     fn racing_push_discards_insert() {
         let memo = ChainMemo::new(64);
-        let epoch = memo.push_epoch();
+        let epoch = memo.epoch();
         memo.evict_cert(&h("unrelated")); // push lands mid-verification
         memo.record(&h("p"), &h("fp"), Time(1), None, vec![h("a")], epoch);
-        assert!(!memo.lookup(&h("p"), &h("fp"), Time(2)), "stale insert discarded");
+        assert!(
+            !memo.lookup(&h("p"), &h("fp"), Time(2)),
+            "stale insert discarded"
+        );
     }
 
     #[test]
     fn capacity_is_bounded_fifo() {
         let memo = ChainMemo::new(16); // 1 per shard
-        let epoch = memo.push_epoch();
+        let epoch = memo.epoch();
         for i in 0..64 {
             memo.record(&h(&format!("p{i}")), &h("fp"), Time(1), None, vec![], epoch);
         }

@@ -288,7 +288,7 @@ impl VerifyCtx {
         if memo.lookup(&proof_hash, &fingerprint, self.now) {
             return Ok(());
         }
-        let epoch = memo.push_epoch();
+        let epoch = memo.epoch();
         proof.verify(self)?;
         memo.record(
             &proof_hash,

@@ -16,23 +16,18 @@
 //! *verified establishment proof*, so the MAC principal holds exactly the
 //! authority the client demonstrated, no more.
 
-use snowflake_core::sync::LockExt;
-use std::sync::Mutex;
 use snowflake_bigint::Ubig;
-use snowflake_core::{Delegation, HashVal, Principal, Proof, Tag, Time, Validity};
+use snowflake_core::{
+    Delegation, HashVal, Principal, Proof, RevocableMap, RevocationBus, Tag, Time, Validity,
+};
 use snowflake_crypto::chacha20::ChaCha20;
 use snowflake_crypto::hmac::{ct_eq, derive_key, hmac_sha256};
 use snowflake_crypto::{DhSecret, Group};
 use snowflake_sexpr::{b64_decode, b64_encode, Sexp};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The well-known path MAC sessions are established at.
 pub const MAC_SESSION_PATH: &str = "/.sf/mac-session";
-
-/// Default shard count: enough that concurrent verifies on disjoint
-/// sessions almost never collide on a lock, small enough to stay cheap.
-pub const DEFAULT_MAC_SHARDS: usize = 16;
 
 /// One live MAC session on the server.
 pub struct MacSession {
@@ -42,53 +37,27 @@ pub struct MacSession {
     /// a reference out of the shard with a refcount bump and do every
     /// check outside the lock.
     pub grant: Arc<Delegation>,
-    /// Hashes of the certificates the establishment proof chain depended
-    /// on — the session's revocation provenance.  A revocation push evicts
-    /// exactly the sessions whose provenance names the revoked certificate
-    /// ([`MacSessionStore::evict_by_cert`]).
-    pub certs: Arc<[HashVal]>,
     /// The establishment proof, retained for end-to-end audit trails.
     pub establishment: Proof,
 }
 
 /// Server-side store of MAC sessions, keyed by MAC id (`H(secret)`).
 ///
-/// Sessions are spread over N independently locked shards (the MAC id is
-/// already a cryptographic hash, so its leading bytes pick the shard
-/// uniformly).  `verify` copies the 32-byte secret out of the shard and
-/// computes the HMAC *outside* any lock, so one slow verify cannot stall
-/// establishment or verifies of other sessions.
+/// A [`RevocableMap`]: each session's revocation provenance is the
+/// certificates its establishment proof depended on, it expires with its
+/// grant, and a revocation push evicts exactly the dependent sessions.
+/// `verify` copies the 32-byte secret out of the shard and computes the
+/// HMAC *outside* any lock, so one slow verify cannot stall establishment
+/// or verifies of other sessions.
+#[derive(Default)]
 pub struct MacSessionStore {
-    shards: Box<[Mutex<HashMap<HashVal, MacSession>>]>,
-    /// Bumped by [`MacSessionStore::evict_by_cert`] *before* it sweeps the
-    /// shards.  [`MacSessionStore::establish_at_epoch`] re-reads it under
-    /// the shard lock: an eviction racing an establishment either sees the
-    /// new session in its sweep, or forces the establishment to refuse —
-    /// a session verified against pre-revocation state can never slip in
-    /// behind the sweep.
-    invalidation_epoch: std::sync::atomic::AtomicU64,
-}
-
-impl Default for MacSessionStore {
-    fn default() -> MacSessionStore {
-        MacSessionStore::with_shards(DEFAULT_MAC_SHARDS)
-    }
+    sessions: RevocableMap<HashVal, MacSession>,
 }
 
 impl MacSessionStore {
-    /// Creates an empty store with the default shard count.
+    /// Creates an empty store.
     pub fn new() -> MacSessionStore {
         MacSessionStore::default()
-    }
-
-    /// Creates an empty store with `n` shards (`n ≥ 1`).
-    pub fn with_shards(n: usize) -> MacSessionStore {
-        let shards: Vec<Mutex<HashMap<HashVal, MacSession>>> =
-            (0..n.max(1)).map(|_| Mutex::new(HashMap::new())).collect();
-        MacSessionStore {
-            shards: shards.into_boxed_slice(),
-            invalidation_epoch: std::sync::atomic::AtomicU64::new(0),
-        }
     }
 
     /// The current invalidation epoch.  Callers that verify an
@@ -97,48 +66,24 @@ impl MacSessionStore {
     /// between verification and insertion refuses the session instead of
     /// resurrecting it.
     pub fn invalidation_epoch(&self) -> u64 {
-        self.invalidation_epoch
-            .load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Number of shards the store spreads sessions over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, mac_id: &HashVal) -> &Mutex<HashMap<HashVal, MacSession>> {
-        // The id is itself a hash; fold its bytes for the shard index so
-        // every byte contributes regardless of digest length.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in &mac_id.bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
+        self.sessions.epoch()
     }
 
     /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.plock().len()).sum()
+        self.sessions.len()
     }
 
     /// Is the store empty?
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.plock().is_empty())
+        self.sessions.is_empty()
     }
 
     /// Removes every session whose validity window has closed before
-    /// `now`, returning how many were reclaimed.  Long-running servers
-    /// otherwise accumulate one dead entry per establishment forever.
+    /// `now`, returning how many were reclaimed.  Establishment also
+    /// sweeps, amortized, so this is only needed to reclaim eagerly.
     pub fn evict_expired(&self, now: Time) -> usize {
-        let mut evicted = 0;
-        for shard in self.shards.iter() {
-            let mut sessions = shard.plock();
-            let before = sessions.len();
-            sessions.retain(|_, s| !expired(&s.grant, now));
-            evicted += before - sessions.len();
-        }
-        evicted
+        self.sessions.sweep(now)
     }
 
     /// Removes every session whose establishment proof chain depended on
@@ -148,45 +93,17 @@ impl MacSessionStore {
     /// from a since-revoked delegation must stop authorizing immediately,
     /// without flushing unrelated sessions or restarting the server.
     pub fn evict_by_cert(&self, cert_hash: &HashVal) -> usize {
-        // Bump the epoch before sweeping: any establishment that read the
-        // old epoch and locks its shard after this sweep passed it will
-        // see the new value (the shard Mutex orders the two) and refuse.
-        self.invalidation_epoch
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let mut evicted = 0;
-        for shard in self.shards.iter() {
-            let mut sessions = shard.plock();
-            let before = sessions.len();
-            sessions.retain(|_, s| !s.certs.contains(cert_hash));
-            evicted += before - sessions.len();
-        }
-        evicted
+        self.sessions.evict_cert(cert_hash)
     }
 
     /// Handles an establishment request body, returning the grant body.
     ///
-    /// `proof` must already be verified by the caller;
-    /// `proven` is its conclusion (the authority the MAC inherits).
-    /// Establishment also sweeps expired sessions from the shard the new
-    /// session lands in, so steady establishment traffic keeps the store
-    /// from leaking.
-    pub fn establish(
-        &self,
-        body: &[u8],
-        proven: Delegation,
-        establishment: Proof,
-        now: Time,
-        rand_bytes: &mut dyn FnMut(&mut [u8]),
-    ) -> Result<Vec<u8>, String> {
-        let epoch = self.invalidation_epoch();
-        self.establish_at_epoch(body, proven, establishment, now, rand_bytes, epoch)
-    }
-
-    /// Like [`MacSessionStore::establish`], refusing when the store's
-    /// invalidation epoch has moved past `verified_at_epoch` (read before
-    /// the caller verified the establishment proof): the proof was checked
-    /// against revocation state that a push has since superseded, so the
-    /// session must not be created from it.
+    /// `proof` must already be verified by the caller, who read
+    /// `verified_at_epoch` from [`MacSessionStore::invalidation_epoch`]
+    /// *before* verifying; `proven` is its conclusion (the authority the
+    /// MAC inherits).  When a revocation push has landed since, the proof
+    /// was checked against superseded revocation state and the session is
+    /// refused.
     pub fn establish_at_epoch(
         &self,
         body: &[u8],
@@ -229,27 +146,24 @@ impl MacSessionStore {
             validity: proven.validity,
             delegable: false,
         });
-        {
-            let certs: Arc<[HashVal]> = establishment.cert_hashes().into();
-            let mut sessions = self.shard(&mac_id).plock();
-            // The shard Mutex orders this load against a racing
-            // `evict_by_cert`'s bump: either the sweep sees this session,
-            // or this check sees the sweep.
-            if self.invalidation_epoch() != verified_at_epoch {
-                return Err("a revocation landed since the establishment proof \
-                            was verified; re-verify and retry"
-                    .into());
-            }
-            sessions.retain(|_, s| !expired(&s.grant, now));
-            sessions.insert(
-                mac_id.clone(),
-                MacSession {
-                    secret,
-                    grant,
-                    certs,
-                    establishment,
-                },
-            );
+        let certs: Arc<[HashVal]> = establishment.cert_hashes().into();
+        let valid_until = grant.validity.not_after;
+        let session = MacSession {
+            secret,
+            grant,
+            establishment,
+        };
+        if !self.sessions.insert(
+            mac_id.clone(),
+            session,
+            certs,
+            valid_until,
+            now,
+            verified_at_epoch,
+        ) {
+            return Err("a revocation landed since the establishment proof \
+                        was verified; re-verify and retry"
+                .into());
         }
 
         let reply = Sexp::tagged(
@@ -281,11 +195,10 @@ impl MacSessionStore {
         request_tag: &Tag,
         now: Time,
     ) -> Result<(Principal, Delegation), String> {
-        let (secret, grant) = {
-            let sessions = self.shard(mac_id).plock();
-            let session = sessions.get(mac_id).ok_or("unknown MAC session")?;
-            (session.secret, Arc::clone(&session.grant))
-        };
+        let (secret, grant) = self
+            .sessions
+            .peek(mac_id, |s| (s.secret, Arc::clone(&s.grant)))
+            .ok_or("unknown MAC session")?;
         let expect = hmac_sha256(&secret, &request_hash.bytes);
         if !ct_eq(&expect, presented_mac) {
             return Err("MAC verification failed".into());
@@ -301,17 +214,15 @@ impl MacSessionStore {
 
     /// The audit trail for a session: the establishment proof.
     pub fn audit(&self, mac_id: &HashVal) -> Option<String> {
-        self.shard(mac_id)
-            .plock()
-            .get(mac_id)
-            .map(|s| s.establishment.audit_trail())
+        self.sessions
+            .peek(mac_id, |s| s.establishment.audit_trail())
     }
 }
 
-/// A session is dead once its validity window has closed; windows that
-/// merely have not opened yet are kept.
-fn expired(grant: &Delegation, now: Time) -> bool {
-    grant.validity.not_after.is_some_and(|t| t < now)
+impl RevocationBus for MacSessionStore {
+    fn certificate_revoked(&self, cert_hash: &HashVal) -> usize {
+        self.evict_by_cert(cert_hash)
+    }
 }
 
 /// Client-side state of one MAC session.
@@ -440,7 +351,16 @@ mod tests {
         let mut srng = det("server");
         let (body, dh) = ClientMacSession::request_body(&mut crng);
         let (grant, proof) = proven();
-        let reply = store.establish(&body, grant, proof, Time(0), &mut srng).unwrap();
+        let reply = store
+            .establish_at_epoch(
+                &body,
+                grant,
+                proof,
+                Time(0),
+                &mut srng,
+                store.invalidation_epoch(),
+            )
+            .unwrap();
         let session =
             ClientMacSession::from_grant(&reply, &dh, Validity::until(Time(1_000))).unwrap();
         assert_eq!(store.len(), 1);
@@ -470,7 +390,16 @@ mod tests {
         let mut srng = det("s2");
         let (body, dh) = ClientMacSession::request_body(&mut crng);
         let (grant, proof) = proven();
-        let reply = store.establish(&body, grant, proof, Time(0), &mut srng).unwrap();
+        let reply = store
+            .establish_at_epoch(
+                &body,
+                grant,
+                proof,
+                Time(0),
+                &mut srng,
+                store.invalidation_epoch(),
+            )
+            .unwrap();
         let session = ClientMacSession::from_grant(&reply, &dh, Validity::always()).unwrap();
 
         let h1 = HashVal::of(b"request one");
@@ -499,7 +428,16 @@ mod tests {
         let mut srng = det("s3");
         let (body, dh) = ClientMacSession::request_body(&mut crng);
         let (grant, proof) = proven(); // grants only (web (method GET)), until t=1000
-        let reply = store.establish(&body, grant, proof, Time(0), &mut srng).unwrap();
+        let reply = store
+            .establish_at_epoch(
+                &body,
+                grant,
+                proof,
+                Time(0),
+                &mut srng,
+                store.invalidation_epoch(),
+            )
+            .unwrap();
         let session =
             ClientMacSession::from_grant(&reply, &dh, Validity::until(Time(1_000))).unwrap();
 
@@ -550,7 +488,14 @@ mod tests {
             // Half the sessions die at t=100, half live until t=10_000.
             let (grant, proof) = proven_until(Time(if i % 2 == 0 { 100 } else { 10_000 }));
             store
-                .establish(&body, grant, proof, Time(0), &mut srng)
+                .establish_at_epoch(
+                    &body,
+                    grant,
+                    proof,
+                    Time(0),
+                    &mut srng,
+                    store.invalidation_epoch(),
+                )
                 .unwrap();
         }
         assert_eq!(store.len(), 8);
@@ -565,34 +510,43 @@ mod tests {
         assert!(store.is_empty());
     }
 
-    /// Establishment itself sweeps the shard it lands in, so steady
-    /// traffic bounds the store without anyone calling `evict_expired`.
+    /// Establishment itself sweeps expired sessions (amortized), so
+    /// steady traffic bounds the store without anyone calling
+    /// `evict_expired`.
     #[test]
     fn establish_sweeps_expired_sessions() {
-        // One shard so every establishment sweeps every session.
-        let store = MacSessionStore::with_shards(1);
+        let store = MacSessionStore::new();
         let mut srng = det("sweep-server");
-        let mut crng = det("sweep-client-a");
-        let (body, _dh) = ClientMacSession::request_body(&mut crng);
-        let (grant, proof) = proven_until(Time(100));
-        store
-            .establish(&body, grant, proof, Time(0), &mut srng)
-            .unwrap();
-        assert_eq!(store.len(), 1);
-
-        // A later establishment (past the first session's expiry) replaces
-        // rather than accumulates.
-        let mut crng = det("sweep-client-b");
-        let (body, _dh) = ClientMacSession::request_body(&mut crng);
-        let (grant, proof) = proven_until(Time(10_000));
-        store
-            .establish(&body, grant, proof, Time(500), &mut srng)
-            .unwrap();
-        assert_eq!(store.len(), 1, "the expired session was swept");
+        let mut establish = |i: usize, until: Time, now: Time| {
+            let mut crng = det(&format!("sweep-client-{i}"));
+            let (body, _dh) = ClientMacSession::request_body(&mut crng);
+            let (grant, proof) = proven_until(until);
+            store
+                .establish_at_epoch(
+                    &body,
+                    grant,
+                    proof,
+                    now,
+                    &mut srng,
+                    store.invalidation_epoch(),
+                )
+                .unwrap();
+        };
+        for i in 0..24 {
+            establish(i, Time(100), Time(0));
+        }
+        // Past the first batch's expiry, later establishments reclaim
+        // dead sessions rather than accumulate next to them.
+        for i in 24..48 {
+            establish(i, Time(10_000), Time(500));
+        }
+        let resident = store.len();
+        assert!(resident < 48, "no expired session was swept");
+        assert_eq!(store.evict_expired(Time(500)), resident - 24);
+        assert_eq!(store.len(), 24);
     }
 
-    /// Sessions spread across shards, and verifies on disjoint sessions
-    /// run concurrently from many threads.
+    /// Verifies on disjoint sessions run concurrently from many threads.
     #[test]
     fn concurrent_verify_across_shards() {
         let store = std::sync::Arc::new(MacSessionStore::new());
@@ -603,19 +557,17 @@ mod tests {
             let (body, dh) = ClientMacSession::request_body(&mut crng);
             let (grant, proof) = proven_until(Time(1_000_000));
             let reply = store
-                .establish(&body, grant, proof, Time(0), &mut srng)
+                .establish_at_epoch(
+                    &body,
+                    grant,
+                    proof,
+                    Time(0),
+                    &mut srng,
+                    store.invalidation_epoch(),
+                )
                 .unwrap();
-            sessions
-                .push(ClientMacSession::from_grant(&reply, &dh, Validity::always()).unwrap());
+            sessions.push(ClientMacSession::from_grant(&reply, &dh, Validity::always()).unwrap());
         }
-        // With 32 random ids over 16 shards, more than one shard must be
-        // populated (the ids are hashes; all colliding would mean the
-        // shard function ignores them).
-        let populated = (0..store.shard_count())
-            .filter(|&i| !store.shards[i].plock().is_empty())
-            .count();
-        assert!(populated > 1, "sessions all landed in one shard");
-
         let threads: Vec<_> = sessions
             .chunks(8)
             .map(|chunk| {
@@ -693,12 +645,13 @@ mod tests {
         let mut crng = det("cert-evict-client-a");
         let (body, _dh) = ClientMacSession::request_body(&mut crng);
         store
-            .establish(
+            .establish_at_epoch(
                 &body,
                 delegation,
                 Proof::signed_cert(cert),
                 Time(0),
                 &mut srng,
+                store.invalidation_epoch(),
             )
             .unwrap();
 
@@ -706,7 +659,16 @@ mod tests {
         let (grant, proof) = proven();
         let mut crng = det("cert-evict-client-b");
         let (body, dh_b) = ClientMacSession::request_body(&mut crng);
-        let reply = store.establish(&body, grant, proof, Time(0), &mut srng).unwrap();
+        let reply = store
+            .establish_at_epoch(
+                &body,
+                grant,
+                proof,
+                Time(0),
+                &mut srng,
+                store.invalidation_epoch(),
+            )
+            .unwrap();
         let session_b = ClientMacSession::from_grant(&reply, &dh_b, Validity::always()).unwrap();
 
         assert_eq!(store.len(), 2);
@@ -735,7 +697,16 @@ mod tests {
         let mut srng = det("s4");
         let (body, dh) = ClientMacSession::request_body(&mut crng);
         let (grant, proof) = proven();
-        let reply = store.establish(&body, grant, proof, Time(0), &mut srng).unwrap();
+        let reply = store
+            .establish_at_epoch(
+                &body,
+                grant,
+                proof,
+                Time(0),
+                &mut srng,
+                store.invalidation_epoch(),
+            )
+            .unwrap();
         // Flip a byte of the wrapped secret.
         let mut tampered = reply.clone();
         let pos = tampered.len() / 2;

@@ -17,8 +17,8 @@ use crate::message::{HttpRequest, HttpResponse};
 use std::sync::Mutex;
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
 use snowflake_core::{
-    Certificate, ChainMemo, Delegation, HashAlg, HashVal, Principal, Proof, Tag, Time, Validity,
-    VerifyCtx,
+    Certificate, ChainMemo, Delegation, HashAlg, HashVal, Principal, Proof, RevocableMap,
+    RevocationBus, Tag, Time, Validity, VerifyCtx,
 };
 use snowflake_crypto::KeyPair;
 use std::collections::HashMap;
@@ -350,35 +350,6 @@ pub trait SnowflakeService: Send + Sync {
 /// Upper bound (seconds) on a MAC session's lifetime at establishment.
 const MAX_MAC_SESSION_LIFE: u64 = 3_600;
 
-/// One verified identical-request entry: who spoke, until when the cached
-/// conclusion holds, and which certificates the verified proof depended on
-/// (so a revocation push can evict exactly the dependent entries).
-struct VerifiedEntry {
-    speaker: Principal,
-    expiry: Time,
-    certs: Arc<[HashVal]>,
-}
-
-/// The identical-request cache with an amortized expiry sweep: every entry
-/// carries an expiry, so reclaiming lazily when the map doubles past its
-/// last swept size keeps a long-running server from leaking one entry per
-/// distinct request (the same leak class the MAC store sweeps for).
-#[derive(Default)]
-struct VerifiedCache {
-    entries: HashMap<HashVal, VerifiedEntry>,
-    sweep_at: usize,
-}
-
-impl VerifiedCache {
-    fn insert(&mut self, hash: HashVal, entry: VerifiedEntry, now: Time) {
-        self.entries.insert(hash, entry);
-        if self.entries.len() >= self.sweep_at.max(64) {
-            self.entries.retain(|_, e| e.expiry >= now);
-            self.sweep_at = self.entries.len() * 2;
-        }
-    }
-}
-
 /// Counters exposed for the Table 1 cost breakdown.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServletStats {
@@ -402,13 +373,10 @@ pub struct ProtectedServlet<S: SnowflakeService> {
     /// sharded store: a MAC session established against any of them then
     /// authorizes requests wherever its grant's tag reaches.
     macs: Arc<MacSessionStore>,
-    /// Verified identical requests: request hash → (speaker, expiry).
-    verified: Mutex<VerifiedCache>,
-    /// Bumped by `invalidate_cert` while holding the `verified` lock;
-    /// `authorize_signed` re-reads it under the same lock before caching a
-    /// verification, so a revocation push landing mid-verification cannot
-    /// be resurrected by the subsequent cache insert.
-    cache_epoch: std::sync::atomic::AtomicU64,
+    /// Verified identical requests: request hash → speaker, expiring with
+    /// the cached conclusion; its hit counter is `ident_hits`.
+    verified: RevocableMap<HashVal, Principal>,
+    /// Every counter but `ident_hits`.
     stats: Mutex<ServletStats>,
     base_ctx: Mutex<VerifyCtx>,
     clock: fn() -> Time,
@@ -448,8 +416,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
             service,
             hash_alg: HashAlg::Sha256,
             macs,
-            verified: Mutex::new(VerifiedCache::default()),
-            cache_epoch: std::sync::atomic::AtomicU64::new(0),
+            verified: RevocableMap::new(),
             stats: Mutex::new(ServletStats::default()),
             // Every servlet verifies through a verified-chain memo by
             // default: re-presented proof chains (streams of distinct
@@ -498,30 +465,6 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         self.base_ctx.plock().set_revocation_source(source);
     }
 
-    /// Evicts every warm-cache entry that depended on the certificate with
-    /// this hash — verified identical-request entries *and* MAC sessions in
-    /// this servlet's (possibly shared) store — returning how many were
-    /// dropped.  This is the servlet's arm of revocation push: after a
-    /// revocation lands, no cached state keeps honoring the dead
-    /// delegation, and no full-cache flush is needed.
-    pub fn invalidate_cert(&self, cert_hash: &HashVal) -> usize {
-        let mut dropped = 0;
-        {
-            let mut verified = self.verified.plock();
-            // Bumped under the lock: an in-flight verification that read
-            // the old epoch will re-check under this lock and skip caching.
-            self.cache_epoch
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            let before = verified.entries.len();
-            verified.entries.retain(|_, e| !e.certs.contains(cert_hash));
-            dropped += before - verified.entries.len();
-        }
-        if let Some(memo) = self.base_ctx.plock().chain_memo() {
-            dropped += memo.evict_cert(cert_hash);
-        }
-        dropped + self.macs.evict_by_cert(cert_hash)
-    }
-
     /// The verified-chain memo every verification of this servlet consults
     /// (exposed for counters and shared wiring).
     pub fn chain_memo(&self) -> Option<Arc<ChainMemo>> {
@@ -530,20 +473,17 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
 
     /// Current statistics.
     pub fn stats(&self) -> ServletStats {
-        *self.stats.plock()
-    }
-
-    /// The verified-chain memo's counters — the operator-facing snapshot
-    /// of this surface's memo hit ratio (zeroes if the memo was detached).
-    pub fn memo_stats(&self) -> snowflake_core::MemoStats {
-        self.chain_memo().map(|m| m.stats()).unwrap_or_default()
+        ServletStats {
+            ident_hits: self.verified.stats().hits,
+            ..*self.stats.plock()
+        }
     }
 
     /// Registers scrape-time callbacks exposing [`ServletStats`] under
     /// `sf_servlet_*` (collector id `"servlet"`) plus the servlet's
     /// verified-chain memo under
     /// `sf_chain_memo_*{surface="servlet"}` — the same counters
-    /// [`stats`](Self::stats) and [`memo_stats`](Self::memo_stats) read.
+    /// [`stats`](Self::stats) and the memo's `stats` read.
     pub fn register_metrics(self: &Arc<Self>, registry: &snowflake_metrics::Registry)
     where
         S: 'static,
@@ -577,12 +517,34 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
     /// Clears the identical-request cache (benchmarks use this to force the
     /// full verification path).
     pub fn forget_verified(&self) {
-        self.verified.plock().entries.clear();
+        self.verified.clear();
     }
 
     /// The inner service.
     pub fn service(&self) -> &S {
         &self.service
+    }
+
+    /// The identical-request cache: the speaker of an already-verified
+    /// request with this hash, audited as a grant.
+    fn identical_request(&self, req: &HttpRequest, hash: &HashVal, now: Time) -> Option<Principal> {
+        let (speaker, certs) = self.verified.get(hash, now, |speaker, certs| {
+            Some((speaker.clone(), Arc::clone(certs)))
+        })?;
+        self.audit(|| {
+            DecisionEvent::new(
+                now,
+                "http",
+                Decision::Grant,
+                &req.path,
+                &req.method,
+                "identical-request-cache",
+            )
+            .with_subject(speaker.clone())
+            .with_certs(certs.to_vec())
+            .with_epoch(self.revocation_epoch())
+        });
+        Some(speaker)
     }
 
     fn authorize_signed(&self, req: &HttpRequest) -> Result<Principal, HttpResponse> {
@@ -601,27 +563,7 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
         // non-idempotent services should fold a client nonce or channel
         // binding into the request so distinct transactions hash apart.
         let default_hash = auth::request_hash(req, self.hash_alg);
-        let ident_hit = {
-            let verified = self.verified.plock();
-            verified.entries.get(&default_hash).and_then(|entry| {
-                (entry.expiry >= now).then(|| (entry.speaker.clone(), Arc::clone(&entry.certs)))
-            })
-        };
-        if let Some((speaker, certs)) = ident_hit {
-            self.stats.plock().ident_hits += 1;
-            self.audit(|| {
-                DecisionEvent::new(
-                    now,
-                    "http",
-                    Decision::Grant,
-                    &req.path,
-                    &req.method,
-                    "identical-request-cache",
-                )
-                .with_subject(speaker.clone())
-                .with_certs(certs.to_vec())
-                .with_epoch(self.revocation_epoch())
-            });
+        if let Some(speaker) = self.identical_request(req, &default_hash, now) {
             return Ok(speaker);
         }
 
@@ -654,34 +596,13 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
             default_hash
         } else {
             let h = auth::request_hash(req, alg);
-            let hit = {
-                let verified = self.verified.plock();
-                verified.entries.get(&h).and_then(|entry| {
-                    (entry.expiry >= now)
-                        .then(|| (entry.speaker.clone(), Arc::clone(&entry.certs)))
-                })
-            };
-            if let Some((speaker, certs)) = hit {
-                self.stats.plock().ident_hits += 1;
-                self.audit(|| {
-                    DecisionEvent::new(
-                        now,
-                        "http",
-                        Decision::Grant,
-                        &req.path,
-                        &req.method,
-                        "identical-request-cache",
-                    )
-                    .with_subject(speaker.clone())
-                    .with_certs(certs.to_vec())
-                    .with_epoch(self.revocation_epoch())
-                });
+            if let Some(speaker) = self.identical_request(req, &h, now) {
                 return Ok(speaker);
             }
             h
         };
 
-        let epoch = self.cache_epoch.load(std::sync::atomic::Ordering::SeqCst);
+        let epoch = self.verified.epoch();
         let mut ctx = self.base_ctx.plock().clone();
         ctx.now = now;
         match ctx.authorize(&proof, &speaker, &issuer, &request_tag) {
@@ -691,26 +612,19 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                     Some(t) => t.min(now.plus(300)),
                     None => now.plus(300),
                 };
-                {
-                    // Skip caching when an invalidation landed while the
-                    // proof was being verified: the verdict used
-                    // pre-revocation state, and caching it would outlive
-                    // the push.  (This request is still served — the same
-                    // benign race exists for a request verified an
-                    // instant before the revocation.)
-                    let mut verified = self.verified.plock();
-                    if self.cache_epoch.load(std::sync::atomic::Ordering::SeqCst) == epoch {
-                        verified.insert(
-                            hash,
-                            VerifiedEntry {
-                                speaker: speaker.clone(),
-                                expiry,
-                                certs: proof.cert_hashes().into(),
-                            },
-                            now,
-                        );
-                    }
-                }
+                // Not cached when an invalidation landed while the proof
+                // was being verified: the verdict used pre-revocation
+                // state.  (This request is still served — the same benign
+                // race exists for a request verified an instant before the
+                // revocation.)
+                self.verified.insert(
+                    hash,
+                    speaker.clone(),
+                    proof.cert_hashes().into(),
+                    Some(expiry),
+                    now,
+                    epoch,
+                );
                 self.audit(|| {
                     DecisionEvent::new(
                         now,
@@ -939,6 +853,19 @@ impl<S: SnowflakeService> ProtectedServlet<S> {
                 HttpResponse::forbidden(&format!("authorization failed: {e}"))
             }
         }
+    }
+}
+
+/// The servlet's arm of revocation push: evicts the identical-request
+/// entries, memo entries and MAC sessions (in its possibly shared store)
+/// that depended on the certificate, and nothing else.
+impl<S: SnowflakeService> RevocationBus for ProtectedServlet<S> {
+    fn certificate_revoked(&self, cert_hash: &HashVal) -> usize {
+        let mut dropped = self.verified.evict_cert(cert_hash);
+        if let Some(memo) = self.base_ctx.plock().chain_memo() {
+            dropped += memo.evict_cert(cert_hash);
+        }
+        dropped + self.macs.evict_by_cert(cert_hash)
     }
 }
 

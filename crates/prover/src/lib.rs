@@ -650,6 +650,12 @@ impl Default for Prover {
     }
 }
 
+impl snowflake_core::RevocationBus for Prover {
+    fn certificate_revoked(&self, cert_hash: &snowflake_core::HashVal) -> usize {
+        self.invalidate_cert(cert_hash)
+    }
+}
+
 impl Inner {
     fn insert_edge(&mut self, proof: Proof, shortcut: bool) {
         let hash = proof.hash();

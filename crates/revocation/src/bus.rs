@@ -1,67 +1,15 @@
 //! The revocation bus: fanning push notifications into warm caches.
 //!
-//! Verification rejecting *new* proofs is only half the freshness story:
-//! the concurrency work left several warm paths that never re-verify —
-//! prover shortcut edges, established MAC sessions, the servlet's
-//! identical-request cache, and the RMI server's proof cache.  Each of
-//! those layers records the certificate hashes its entries were built
-//! from, and implements [`RevocationBus`] so a freshness agent can evict
-//! exactly the entries a revoked certificate poisoned — no flush, no
-//! restart.
+//! The [`RevocationBus`] trait lives in `snowflake-core`, beside the
+//! `RevocableMap` most warm caches are built on, and each cache implements
+//! it in its own crate; this module adds the buses that compose them.
 
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent};
-use snowflake_core::{ChainMemo, Time};
+use snowflake_core::Time;
 use snowflake_crypto::HashVal;
-use snowflake_http::{MacSessionStore, ProtectedServlet, SnowflakeService};
-use snowflake_prover::Prover;
-use snowflake_rmi::RmiServer;
 use std::sync::Arc;
 
-/// A warm cache that can evict everything built from one certificate.
-pub trait RevocationBus: Send + Sync {
-    /// Evicts all state depending on the certificate with this hash and
-    /// returns how many entries were dropped.
-    fn certificate_revoked(&self, cert_hash: &HashVal) -> usize;
-}
-
-impl RevocationBus for Prover {
-    fn certificate_revoked(&self, cert_hash: &HashVal) -> usize {
-        self.invalidate_cert(cert_hash)
-    }
-}
-
-impl RevocationBus for ChainMemo {
-    fn certificate_revoked(&self, cert_hash: &HashVal) -> usize {
-        self.evict_cert(cert_hash)
-    }
-}
-
-impl RevocationBus for MacSessionStore {
-    fn certificate_revoked(&self, cert_hash: &HashVal) -> usize {
-        self.evict_by_cert(cert_hash)
-    }
-}
-
-impl RevocationBus for RmiServer {
-    fn certificate_revoked(&self, cert_hash: &HashVal) -> usize {
-        self.invalidate_cert(cert_hash)
-    }
-}
-
-impl<S: SnowflakeService> RevocationBus for ProtectedServlet<S> {
-    fn certificate_revoked(&self, cert_hash: &HashVal) -> usize {
-        self.invalidate_cert(cert_hash)
-    }
-}
-
-// A shared handle to a bus is a bus, so subsystems that live behind an
-// `Arc` (the prover, a topic broker) drop straight into a `FanoutBus`
-// without a wrapper type.
-impl<T: RevocationBus + ?Sized> RevocationBus for Arc<T> {
-    fn certificate_revoked(&self, cert_hash: &HashVal) -> usize {
-        (**self).certificate_revoked(cert_hash)
-    }
-}
+pub use snowflake_core::RevocationBus;
 
 /// A bus broadcasting to several others (useful when one subscription
 /// must reach caches owned by different subsystems).

@@ -6,11 +6,13 @@ use std::sync::Mutex;
 use snowflake_channel::AuthChannel;
 use snowflake_core::audit::{AuditEmitter, Decision, DecisionEvent, EmitterSlot};
 use snowflake_core::{
-    ChainMemo, ChannelId, Delegation, Principal, Proof, Tag, Time, Validity, VerifyCtx,
+    ChainMemo, ChannelId, Delegation, HashVal, Principal, Proof, RevocableMap, RevocationBus, Tag,
+    Time, Validity, VerifyCtx,
 };
 use snowflake_crypto::PublicKey;
 use snowflake_sexpr::Sexp;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::io;
 use std::sync::Arc;
 
@@ -70,16 +72,21 @@ pub struct ProofCacheStats {
     pub misses: u64,
 }
 
-/// One verified proof in the cache.
-struct CachedProof {
-    conclusion: Delegation,
-    /// Hashes of the certificates the proof depends on — its revocation
-    /// provenance, consulted by [`RmiServer::invalidate_cert`] and
-    /// recorded in grant audit events.  Shared (`Arc`) so the hot path
-    /// hands it out without an allocation inside the cache lock.
-    certs: Arc<[snowflake_core::HashVal]>,
-    #[expect(dead_code, reason = "retained for audit trails")]
-    proof: Proof,
+/// Proof-cache key: the proof's subject and its hash, so a re-submitted
+/// proof replaces its entry instead of growing the cache.
+#[derive(Clone, PartialEq, Eq)]
+struct ProofKey {
+    subject: Principal,
+    proof: HashVal,
+}
+
+// Hashes the subject alone: every proof of one subject lands in one
+// shard, where `check_auth` finds them with a single
+// [`RevocableMap::find`] keyed by the speaker.
+impl Hash for ProofKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.subject.hash(state);
+    }
 }
 
 /// The RMI server: object registry, proof cache, and per-connection loop.
@@ -88,14 +95,9 @@ pub struct RmiServer {
     /// Objects served without authorization (the "basic RMI" baseline of
     /// the paper's Figure 6 measurements).
     open_objects: Mutex<HashMap<String, Arc<dyn RemoteObject>>>,
-    /// Verified proofs keyed by subject principal.
-    cache: Mutex<HashMap<Principal, Vec<CachedProof>>>,
-    /// Bumped by `invalidate_cert` while holding the cache lock;
-    /// `receive_proof` re-reads it under the same lock before caching, so
-    /// a revocation push landing mid-verification cannot be resurrected
-    /// by the subsequent insert.
-    cache_epoch: std::sync::atomic::AtomicU64,
-    stats: Mutex<ProofCacheStats>,
+    /// Verified proof conclusions by (subject, proof hash), expiring with
+    /// the conclusion; its hit and miss counters are `check_auth`'s.
+    proofs: RevocableMap<ProofKey, Delegation>,
     /// Base context cloned per connection (carries revocation data).
     base_ctx: Mutex<VerifyCtx>,
     clock: fn() -> Time,
@@ -118,9 +120,7 @@ impl RmiServer {
         Arc::new(RmiServer {
             objects: Mutex::new(HashMap::new()),
             open_objects: Mutex::new(HashMap::new()),
-            cache: Mutex::new(HashMap::new()),
-            cache_epoch: std::sync::atomic::AtomicU64::new(0),
-            stats: Mutex::new(ProofCacheStats::default()),
+            proofs: RevocableMap::new(),
             // Proof verification goes through a verified-chain memo:
             // reconnecting clients re-submitting a known chain skip the
             // exponentiations.
@@ -174,22 +174,19 @@ impl RmiServer {
 
     /// Proof-cache statistics.
     pub fn cache_stats(&self) -> ProofCacheStats {
-        let mut s = *self.stats.plock();
-        s.proofs = self.cache.plock().values().map(Vec::len).sum();
-        s
-    }
-
-    /// The verified-chain memo's counters — the operator-facing snapshot
-    /// of this surface's memo hit ratio (zeroes if the memo was detached).
-    pub fn memo_stats(&self) -> snowflake_core::MemoStats {
-        self.chain_memo().map(|m| m.stats()).unwrap_or_default()
+        let s = self.proofs.stats();
+        ProofCacheStats {
+            proofs: s.entries as usize,
+            hits: s.hits,
+            misses: s.misses,
+        }
     }
 
     /// Registers scrape-time callbacks exposing [`ProofCacheStats`]
     /// under `sf_rmi_*` (collector id `"rmi"`) plus the server's
     /// verified-chain memo under `sf_chain_memo_*{surface="rmi"}` — the
-    /// same counters [`cache_stats`](Self::cache_stats) and
-    /// [`memo_stats`](Self::memo_stats) read.
+    /// same counters [`cache_stats`](Self::cache_stats) and the memo's
+    /// `stats` read.
     pub fn register_metrics(self: &Arc<Self>, registry: &snowflake_metrics::Registry) {
         use snowflake_metrics::Sample;
         registry.set_help(
@@ -214,7 +211,7 @@ impl RmiServer {
 
     /// Drops all cached proofs (benchmarks use this to force re-submission).
     pub fn forget_proofs(&self) {
-        self.cache.plock().clear();
+        self.proofs.clear();
     }
 
     /// Attaches a pluggable revocation source (e.g. a freshness agent)
@@ -224,31 +221,6 @@ impl RmiServer {
         source: std::sync::Arc<dyn snowflake_core::RevocationSource>,
     ) {
         self.base_ctx.plock().set_revocation_source(source);
-    }
-
-    /// Drops every cached proof that depended on the certificate with this
-    /// hash, returning how many were evicted.  After a revocation push the
-    /// `check_auth` fast path faults again, forcing clients to re-prove —
-    /// which the verifier then rejects against the fresh CRL.  Unrelated
-    /// cached proofs keep answering; no flush, no restart.
-    pub fn invalidate_cert(&self, cert_hash: &snowflake_core::HashVal) -> usize {
-        let mut cache = self.cache.plock();
-        // Bumped under the lock: an in-flight `receive_proof` that read
-        // the old epoch will re-check under this lock and skip caching.
-        self.cache_epoch
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let mut evicted = 0;
-        cache.retain(|_, entries| {
-            let before = entries.len();
-            entries.retain(|e| !e.certs.contains(cert_hash));
-            evicted += before - entries.len();
-            !entries.is_empty()
-        });
-        drop(cache);
-        if let Some(memo) = self.base_ctx.plock().chain_memo() {
-            evicted += memo.evict_cert(cert_hash);
-        }
-        evicted
     }
 
     /// The verified-chain memo this server's verifications consult
@@ -483,7 +455,6 @@ impl RmiServer {
         let tag = object.restriction(invocation);
         let now = (self.clock)();
         let Some(certs) = self.check_auth(&speaker, &object.issuer(), &tag, now) else {
-            self.stats.plock().misses += 1;
             self.audit(|| {
                 DecisionEvent::new(
                     now,
@@ -501,7 +472,6 @@ impl RmiServer {
                 tag,
             });
         };
-        self.stats.plock().hits += 1;
         self.audit(|| {
             DecisionEvent::new(
                 now,
@@ -536,17 +506,14 @@ impl RmiServer {
         issuer: &Principal,
         tag: &Tag,
         now: Time,
-    ) -> Option<Arc<[snowflake_core::HashVal]>> {
-        let cache = self.cache.plock();
-        let entries = cache.get(speaker)?;
-        entries
-            .iter()
-            .find(|e| {
-                e.conclusion.issuer == *issuer
-                    && e.conclusion.tag.permits(tag)
-                    && e.conclusion.validity.contains(now)
-            })
-            .map(|e| Arc::clone(&e.certs))
+    ) -> Option<Arc<[HashVal]>> {
+        self.proofs.find(speaker, |key, conclusion, certs| {
+            (key.subject == *speaker
+                && conclusion.issuer == *issuer
+                && conclusion.tag.permits(tag)
+                && conclusion.validity.contains(now))
+            .then(|| Arc::clone(certs))
+        })
     }
 
     /// The proof-recipient object: verifies a submitted proof against this
@@ -566,7 +533,7 @@ impl RmiServer {
 
         // Build this connection's verification context: base (revocation
         // data) + the channel binding this endpoint itself witnessed.
-        let epoch = self.cache_epoch.load(std::sync::atomic::Ordering::SeqCst);
+        let epoch = self.proofs.epoch();
         let mut ctx = self.base_ctx.plock().clone();
         ctx.now = (self.clock)();
         if let Some(binding) = channel.peer_binding() {
@@ -604,24 +571,31 @@ impl RmiServer {
             .with_certs(certs.clone())
             .with_epoch(ctx.revocation_epoch())
         });
-        {
-            // Skip caching when an invalidation landed during
-            // verification: the verdict used pre-revocation state.  The
-            // next `check_auth` then faults and the client must re-prove
-            // against the fresh CRL.
-            let mut cache = self.cache.plock();
-            if self.cache_epoch.load(std::sync::atomic::Ordering::SeqCst) == epoch {
-                cache
-                    .entry(conclusion.subject.clone())
-                    .or_default()
-                    .push(CachedProof {
-                        conclusion,
-                        certs: certs.into(),
-                        proof,
-                    });
-            }
-        }
+        // Not cached when an invalidation landed during verification: the
+        // verdict used pre-revocation state.  The next `check_auth` then
+        // faults and the client must re-prove against the fresh CRL.
+        let key = ProofKey {
+            subject: conclusion.subject.clone(),
+            proof: proof.hash(),
+        };
+        let valid_until = conclusion.validity.not_after;
+        self.proofs
+            .insert(key, conclusion, certs.into(), valid_until, ctx.now, epoch);
         RmiReply::Return(Sexp::from("ok"))
+    }
+}
+
+/// The server's arm of revocation push: drops the cached proofs and memo
+/// entries that depended on the certificate.  The `check_auth` fast path
+/// then faults, forcing the client to re-prove against the fresh CRL;
+/// unrelated cached proofs keep answering.
+impl RevocationBus for RmiServer {
+    fn certificate_revoked(&self, cert_hash: &HashVal) -> usize {
+        let mut evicted = self.proofs.evict_cert(cert_hash);
+        if let Some(memo) = self.base_ctx.plock().chain_memo() {
+            evicted += memo.evict_cert(cert_hash);
+        }
+        evicted
     }
 }
 

@@ -5,7 +5,9 @@ use snowflake_channel::{LocalBroker, PipeTransport, SecureChannel};
 use snowflake_core::{Certificate, Delegation, Principal, Tag, Time, Validity};
 use snowflake_crypto::{DetRng, Group, KeyPair};
 use snowflake_prover::Prover;
-use snowflake_rmi::{FileObject, RmiClient, RmiError, RmiFault, RmiServer};
+use snowflake_rmi::{
+    FileObject, Invocation, RmiClient, RmiError, RmiFault, RmiReply, RmiServer, PROOF_RECIPIENT,
+};
 use snowflake_sexpr::Sexp;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -300,4 +302,52 @@ fn proof_survives_reconnection() {
     assert_eq!(stats.misses, 1, "second connection reused the cached proof");
     drop(c2);
     h2.join().unwrap();
+}
+
+#[test]
+fn resubmitted_proof_is_cached_once() {
+    // A client re-submitting one proof over one channel must not grow the
+    // server's proof cache: the cache holds each (subject, proof) once.
+    let r = rig();
+    let session_key = kp("resubmit-session");
+    let (ct, st) = PipeTransport::pair();
+    let server = Arc::clone(&r.server);
+    let server_key = r.server_key.clone();
+    let handle = std::thread::spawn(move || {
+        let mut rng = DetRng::new(b"srv-chan");
+        let mut channel =
+            SecureChannel::server(Box::new(st), &server_key, None, &mut |b| rng.fill(b)).unwrap();
+        let _ = server.serve_connection(&mut channel);
+    });
+    let mut rng = DetRng::new(b"cli-chan");
+    let mut channel =
+        SecureChannel::client(Box::new(ct), Some(&session_key), None, &mut |b| rng.fill(b))
+            .unwrap();
+
+    let now = fixed_clock();
+    let proof = r
+        .prover
+        .complete_proof(
+            &Principal::key(&session_key.public),
+            &Principal::key(&r.server_key.public),
+            &tag("(rmi (object files))"),
+            Validity::until(now.plus(3600)),
+            now,
+        )
+        .expect("the rig grants the client a chain");
+    let submit = Invocation {
+        object: PROOF_RECIPIENT.into(),
+        method: "submit".into(),
+        args: vec![proof.to_sexp()],
+        quoting: None,
+    };
+    for _ in 0..3 {
+        channel.send(&submit.to_sexp().canonical()).unwrap();
+        let reply = Sexp::parse(&channel.recv().unwrap()).unwrap();
+        assert!(matches!(RmiReply::from_sexp(&reply), Ok(RmiReply::Return(_))));
+    }
+    assert_eq!(r.server.cache_stats().proofs, 1);
+
+    drop(channel);
+    handle.join().unwrap();
 }

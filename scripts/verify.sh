@@ -47,11 +47,14 @@ echo "==> verification fast-path suites (modpow vs reference, batch pinpointing,
 # sliding-window/fixed-base modpow vs square-and-multiply, batched
 # Schnorr accepts iff every member verifies individually (bit-flips are
 # pinpointed), and the verified-chain memo answers byte-identically to a
-# cold context while staying revocation-sound.  A change that deletes or
-# renames these suites must fail loudly here.
+# cold context while staying revocation-sound, as does every cache built
+# on the same RevocableMap (its interleaving suite: an insert racing a
+# push is refused or evicted, never both missed).  A change that deletes
+# or renames these suites must fail loudly here.
 cargo test -q --offline -p snowflake-bigint --test props
 cargo test -q --offline -p snowflake-crypto --test batch_props
 cargo test -q --offline -p snowflake-core --test chain_memo
+cargo test -q --offline -p snowflake-core --test revocable_map
 
 echo "==> broker suites (authz facade, subscribe-as-action, revocation-push cuts)"
 # The broker's claims — authz answers fail closed on malformed bodies,
